@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -27,6 +29,24 @@ func writeTempCSV(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// durRE matches one time.Duration.String rendering ("0s", "1ms",
+// "1.234s", "1m2.003s", "1h0m0s").
+const durRE = `(?:\d+(?:\.\d+)?(?:h|m|s|ms|µs|ns))+`
+
+// timingRE matches the wall-clock tail of printText's second header line,
+// "# N significant rules, cutoff p <= X, mine D + correct D", capturing
+// everything except the two time.Duration strings D.
+var timingRE = regexp.MustCompile(`(?m)^(# \d+ significant rules, cutoff p <= \S+, mine )` +
+	durRE + `( \+ correct )` + durRE + `$`)
+
+// maskTimings blanks the mine and correct durations of every run's header
+// so two text reports can be byte-compared on everything else. The
+// byte-identity contract (DESIGN.md §11) covers results, and wall-clock
+// time never reproduces.
+func maskTimings(report string) string {
+	return timingRE.ReplaceAllString(report, "${1}<dur>${2}<dur>")
 }
 
 // TestRealMainDispatch covers the subcommand surface: bare flags fall back
@@ -197,5 +217,67 @@ func TestLoadDatasetSelection(t *testing.T) {
 	}
 	if d.NumRecords() != 2 {
 		t.Errorf("records = %d", d.NumRecords())
+	}
+}
+
+// TestMaskTimings pins maskTimings to printText's real format: reports
+// that differ only in the wall-clock durations compare equal once
+// masked, and reports that differ in any result field still differ.
+func TestMaskTimings(t *testing.T) {
+	report := func(mine, correct time.Duration) string {
+		res := &repro.Result{
+			Method: repro.MethodPermutation, Control: repro.ControlFWER, Alpha: 0.05,
+			MinSup: 20, NumRecords: 60, NumTested: 2, Cutoff: 0.06985,
+			Significant: []repro.Rule{
+				{Items: []string{"color=red"}, Class: "yes", Coverage: 30, Support: 30, Confidence: 1, P: 1.691e-17},
+				{Items: []string{"color=blue"}, Class: "no", Coverage: 30, Support: 30, Confidence: 1, P: 1.691e-17},
+			},
+			Perm:     &repro.PermStats{Rounds: 2, PermsRun: 50, MaxPerms: 50},
+			MineTime: mine, CorrectTime: correct,
+		}
+		var b bytes.Buffer
+		printText(&b, "class", []*repro.Result{res, res}, 0, false)
+		return b.String()
+	}
+
+	base := report(0, time.Millisecond)
+	for _, d := range [][2]time.Duration{
+		{0, 0},
+		{time.Millisecond, 0},
+		{1234 * time.Millisecond, 7 * time.Millisecond},
+		{62003 * time.Millisecond, time.Hour},
+	} {
+		other := report(d[0], d[1])
+		if other == base {
+			t.Fatalf("durations %v did not change the raw report", d)
+		}
+		if maskTimings(other) != maskTimings(base) {
+			t.Errorf("durations %v survive masking:\n%s", d, maskTimings(other))
+		}
+	}
+	if got := report(1234*time.Millisecond, 62003*time.Millisecond); !strings.Contains(got, "mine 1.234s + correct 1m2.003s\n") {
+		t.Fatalf("report does not render the durations under test:\n%s", got)
+	}
+	if n := strings.Count(maskTimings(base), "mine <dur> + correct <dur>\n"); n != 2 {
+		t.Fatalf("masked %d timing fields, want 2:\n%s", n, maskTimings(base))
+	}
+
+	// Each edit changes one result byte-range of the report; masking
+	// must not hide it.
+	for _, e := range []struct{ name, old, new string }{
+		{"rule line", "color=blue => class=no", "color=green => class=no"},
+		{"p-value", "p=1.691e-17\n", "p=1.692e-17\n"},
+		{"cutoff", "cutoff p <= 0.06985", "cutoff p <= 0.06986"},
+		{"rule count", "# 2 significant rules", "# 3 significant rules"},
+		{"record count", "# 60 records", "# 61 records"},
+		{"adaptive line", "50/50 perms run", "49/50 perms run"},
+	} {
+		edited := strings.Replace(base, e.old, e.new, 1)
+		if edited == base {
+			t.Fatalf("%s: %q not found in report:\n%s", e.name, e.old, base)
+		}
+		if maskTimings(edited) == maskTimings(base) {
+			t.Errorf("%s change hidden by masking:\n%s", e.name, maskTimings(edited))
+		}
 	}
 }
